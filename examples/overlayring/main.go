@@ -59,11 +59,7 @@ func (t *tokenNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
 
 func (t *tokenNode) flood(ctx *congest.Context, except graph.NodeID) {
 	t.shutdown = true
-	for _, nb := range ctx.Neighbors() {
-		if nb != except {
-			ctx.Send(nb, wire.Msg(wire.KindBroadcast, 0))
-		}
-	}
+	ctx.Multicast(ctx.AllNeighbors(), except, wire.Msg(wire.KindBroadcast, 0))
 }
 
 func main() {

@@ -32,6 +32,24 @@
 // byte-identically under both modes because an invocation with an empty
 // inbox outside its scheduled wake-ups must be a no-op.
 //
+// # Scopes and multicast
+//
+// A node that sends one message to many neighbours uses a Scope: an opaque
+// subset of its neighbour list that only the engine builds
+// (Context.AllNeighbors, Context.FilterNeighbors). Adjacency is validated
+// when the scope is built — its ids are copied out of the node's own
+// adjacency row — so Context.Multicast and Context.Broadcast queue one
+// outbox entry per call and check nothing per copy. Point-to-point Send
+// keeps its per-call adjacency check and ErrNotNeighbor.
+//
+// Delivery expands a multicast entry and meters each copy exactly like a
+// Send to that neighbour: the copies share the per-edge budget with any
+// Send to the same neighbour in the round, count in Messages and Bits,
+// are dropped (after metering) at halted receivers, land in the inbox in
+// the order a Send loop over the scope would give, and each pass through
+// Options.FaultHook when one is set. Network and Shard deliver through the
+// same primitive, so sharded runs meter multicasts identically.
+//
 // Determinism: a run is a pure function of (graph, node programs, seed).
 // Each node receives its own RNG stream split from the run seed, inboxes
 // are assembled in sender-id order, and the active set is derived
@@ -102,11 +120,6 @@ type Context struct {
 	// per-call metric deltas, merged by the executor
 	memWords int64
 	workOps  int64
-}
-
-type routedMsg struct {
-	from, to graph.NodeID
-	msg      wire.Message
 }
 
 // ID returns this node's identifier.
@@ -409,6 +422,7 @@ func (n *Network) newRun(seed uint64) (*runState, *executor, *metrics.Counters) 
 	}
 	state := n.arena
 	state.reset()
+	state.bind(n.codec, n.opts, counters)
 	root := rng.New(seed)
 	for v := 0; v < N; v++ {
 		root.SplitInto(state.rngs[v], uint64(v))
@@ -422,24 +436,19 @@ func (n *Network) newRun(seed uint64) (*runState, *executor, *metrics.Counters) 
 // arrays — so a round's allocations are bounded by growth in message volume,
 // not by n or by round count.
 type runState struct {
-	halted []bool
-	live   int // number of non-halted nodes
-	rngs   []*rng.Source
-	// inboxes[v] is node v's current inbox bucket. deliver appends envelopes
-	// in sender-id order (the outbox concatenation is already sender-sorted)
-	// and the executor truncates the bucket back to length 0 after the node
-	// consumed it, recycling the backing array.
-	inboxes [][]Envelope
+	// delivery holds the halted flags, inbox buckets, the message-activated
+	// receivers and the bandwidth stamps; deliver appends envelopes in
+	// sender-id order because the outbox concatenation is already
+	// sender-sorted.
+	delivery
+	live int // number of non-halted nodes
+	rngs []*rng.Source
 	// ctxs are the persistent per-node contexts: each is reset and reused
 	// every invocation so outbox capacity survives. A Context is documented
 	// as valid only during the Init/Round call, which makes reuse safe.
 	ctxs []*Context
 	// out is the reused node-id-ordered outbox concatenation buffer.
 	out []routedMsg
-	// msgActive lists the receivers of the messages delivered for the next
-	// round (appended on first delivery to an empty bucket; never contains
-	// halted nodes or duplicates).
-	msgActive []int32
 	// active is the reused active-set buffer built by the executor.
 	active []int32
 	// dueScratch is a reused buffer for draining due wakes in dense rounds.
@@ -448,26 +457,16 @@ type runState struct {
 	inActive []bool
 	// sched is the wake-up schedule of the event-driven executor.
 	sched scheduler
-	// Bandwidth accounting scratch: bwBits[to] accumulates the bits the
-	// current sender pushed to `to` this round, valid while bwStamp[to]
-	// equals the current sender generation. Generations never repeat, so
-	// the arrays need no clearing between senders or rounds.
-	bwStamp []int64
-	bwBits  []int64
-	bwGen   int64
 }
 
 func newRunState(n int) *runState {
 	return &runState{
-		halted:   make([]bool, n),
+		delivery: newDelivery(0, n),
 		live:     n,
 		rngs:     make([]*rng.Source, n),
-		inboxes:  make([][]Envelope, n),
 		ctxs:     make([]*Context, n),
 		inActive: make([]bool, n),
 		sched:    newScheduler(n),
-		bwStamp:  make([]int64, n),
-		bwBits:   make([]int64, n),
 	}
 }
 
@@ -510,47 +509,18 @@ func (s *runState) nextActiveRound(round int64) (int64, bool) {
 }
 
 // deliver routes the sender-ordered outbox concatenation into next-round
-// inbox buckets, applying fault hooks and bandwidth enforcement. Called
-// single-threaded. It performs no comparison sort and, at steady state, no
-// allocations: `out` is grouped by sender in ascending id order (the merge
-// loop concatenates outboxes in active-set order), so appending each
-// envelope to its receiver's recycled bucket yields sender-sorted inboxes
-// for free, and per-edge budgets are tracked with generation-stamped flat
-// arrays instead of a per-round map.
-func (n *Network) deliver(round int64, out []routedMsg, state *runState, counters *metrics.Counters) error {
-	curFrom := graph.NodeID(-1)
+// inbox buckets through the shared delivery primitive, applying fault hooks
+// and bandwidth enforcement. Called single-threaded. It performs no
+// comparison sort and, at steady state, no allocations: `out` is grouped by
+// sender in ascending id order (the merge loop concatenates outboxes in
+// active-set order), so appending each envelope to its receiver's recycled
+// bucket yields sender-sorted inboxes for free.
+func (n *Network) deliver(round int64, out []routedMsg, state *runState) error {
+	state.begin()
 	for i := range out {
-		rm := &out[i]
-		msg := rm.msg
-		if n.opts.FaultHook != nil {
-			var deliverIt bool
-			msg, deliverIt = n.opts.FaultHook(round, rm.from, rm.to, msg)
-			if !deliverIt {
-				continue
-			}
+		if err := state.route(round, &out[i]); err != nil {
+			return err
 		}
-		sz := n.codec.Bits(msg)
-		if rm.from != curFrom {
-			curFrom = rm.from
-			state.bwGen++
-		}
-		if state.bwStamp[rm.to] != state.bwGen {
-			state.bwStamp[rm.to] = state.bwGen
-			state.bwBits[rm.to] = 0
-		}
-		state.bwBits[rm.to] += sz
-		if state.bwBits[rm.to] > n.opts.BandwidthBits {
-			return fmt.Errorf("%w: edge %d->%d carried %d bits in round %d (budget %d)",
-				ErrBandwidth, rm.from, rm.to, state.bwBits[rm.to], round, n.opts.BandwidthBits)
-		}
-		counters.AddMessage(sz)
-		if state.halted[rm.to] {
-			continue // metered, but a halted node consumes nothing
-		}
-		if len(state.inboxes[rm.to]) == 0 {
-			state.msgActive = append(state.msgActive, int32(rm.to))
-		}
-		state.inboxes[rm.to] = append(state.inboxes[rm.to], Envelope{From: rm.from, Msg: msg})
 	}
 	return nil
 }

@@ -568,41 +568,66 @@ func (p *pingPongNode) Round(ctx *Context, inbox []Envelope) {
 	}
 }
 
+// multicastPingNode keeps every node of a ring busy with fan traffic: each
+// round it refills a one-port scope in place, multicasts over it and
+// broadcasts, so the steady state exercises FilterNeighbors storage reuse and
+// the fan delivery path.
+type multicastPingNode struct{ scope Scope }
+
+func (p *multicastPingNode) Init(ctx *Context) {
+	ctx.WakeEvery(0)
+	ctx.Broadcast(wire.Msg(wire.KindToken, 1))
+}
+func (p *multicastPingNode) Round(ctx *Context, inbox []Envelope) {
+	if len(inbox) == 0 {
+		return
+	}
+	p.scope = ctx.FilterNeighbors(p.scope, func(port int) bool { return port == 0 })
+	ctx.Multicast(p.scope, -1, wire.Msg(wire.KindToken, 2))
+	ctx.Broadcast(wire.Msg(wire.KindToken, 1))
+}
+
 // TestPerRoundDeliveryZeroAllocs pins the engine's steady state at exactly
 // zero allocations per round: inbox buckets, outbox buffers, the bandwidth
-// stamps and the wake heap are all recycled.
+// stamps and the wake heap are all recycled — for point-to-point traffic
+// and for multicast rounds alike.
 func TestPerRoundDeliveryZeroAllocs(t *testing.T) {
 	g := graph.Ring(64)
-	nodes := make([]Node, g.N())
+	pingPong := make([]Node, g.N())
+	multicast := make([]Node, g.N())
 	for v := 0; v < g.N(); v++ {
 		peer := graph.NodeID((v + 1) % g.N())
 		if v%2 == 1 {
 			peer = graph.NodeID((v - 1 + g.N()) % g.N())
 		}
-		nodes[v] = &pingPongNode{peer: peer}
+		pingPong[v] = &pingPongNode{peer: peer}
+		multicast[v] = &multicastPingNode{}
 	}
-	net, err := NewNetwork(g, nodes, Options{MaxRounds: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, exec, _ := net.newRun(1)
-	if err := exec.step(0, true); err != nil {
-		t.Fatal(err)
-	}
-	round := int64(0)
-	stepOnce := func() {
-		round++
-		if err := exec.step(round, false); err != nil {
+	for name, nodes := range map[string][]Node{"send": pingPong, "multicast": multicast} {
+		net, err := NewNetwork(g, nodes, Options{MaxRounds: 1 << 40})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 64; i++ { // warm up buffers to steady state
-		stepOnce()
-	}
-	if avg := testing.AllocsPerRun(200, stepOnce); avg != 0 {
-		t.Fatalf("per-round delivery allocates %.2f times per round", avg)
-	}
-	if state.live == 0 {
-		t.Fatal("ping-pong network unexpectedly halted")
+		state, exec, counters := net.newRun(1)
+		if err := exec.step(0, true); err != nil {
+			t.Fatal(err)
+		}
+		round := int64(0)
+		stepOnce := func() {
+			round++
+			if err := exec.step(round, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 64; i++ { // warm up buffers to steady state
+			stepOnce()
+		}
+		before := counters.Messages
+		if avg := testing.AllocsPerRun(200, stepOnce); avg != 0 {
+			t.Fatalf("%s: per-round delivery allocates %.2f times per round", name, avg)
+		}
+		if state.live == 0 || counters.Messages == before {
+			t.Fatalf("%s: network went quiet during the measurement", name)
+		}
 	}
 }

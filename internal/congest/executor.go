@@ -148,5 +148,5 @@ func (e *executor) step(round int64, isInit bool) error {
 		out = append(out, ctx.outbox...)
 	}
 	s.out = out
-	return e.net.deliver(round, out, s, e.counters)
+	return e.net.deliver(round, out, s)
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // Routed is one routed message with explicit endpoints — the unit the
-// distributed engine moves between shards. It mirrors the engine-internal
-// routedMsg so transports can carry outbox concatenations without reaching
-// into the package.
+// distributed engine moves between shards. It is the point-to-point form of
+// the engine-internal outbox entry (a multicast is expanded into one Routed
+// per cross-shard receiver), so transports can carry outbox concatenations
+// without reaching into the package.
 type Routed struct {
 	From, To graph.NodeID
 	Msg      wire.Message
@@ -83,26 +84,25 @@ type Shard struct {
 	lo, hi int
 	nodes  []Node // local programs, indexed v-lo
 
-	halted    []bool
-	live      int
-	rngs      []*rng.Source
-	ctxs      []*Context
-	inboxes   [][]Envelope
-	msgActive []int32 // local indices
-	active    []int32
-	dueScr    []int32
-	inActive  []bool
-	sched     scheduler
-	counters  *metrics.Counters // full-length; only [lo,hi) per-node entries used
-	out       []Routed
-	bwStamp   []int64 // indexed by local receiver
-	bwBits    []int64
-	bwGen     int64
+	// delivery is the same metering and bucketing state Network uses,
+	// indexed by local receiver (v - lo).
+	delivery
+	live     int
+	rngs     []*rng.Source
+	ctxs     []*Context
+	active   []int32
+	dueScr   []int32
+	inActive []bool
+	sched    scheduler
+	counters *metrics.Counters // full-length; only [lo,hi) per-node entries used
+	out      []Routed
 
-	// localPending holds this round's src/dst-local messages between Step
-	// (which retains them) and Deliver (which splices them back into the
-	// global sender order); newlyHalted is the reused StepReport buffer.
-	localPending []Routed
+	// localPending holds this round's outbox entries whose receivers are
+	// local, between Step (which retains them) and Deliver (which splices
+	// them back into the global sender order). A multicast keeps its local
+	// receivers as one unexpanded fan entry. newlyHalted is the reused
+	// StepReport buffer.
+	localPending []routedMsg
 	newlyHalted  []int32
 	// localRouted/crossRouted are cumulative message counts by routing
 	// class, the shard's half of the ShardStats local-vs-cross split.
@@ -135,17 +135,15 @@ func NewShard(g *graph.Graph, local []Node, opts Options, lo, hi int) (*Shard, e
 		lo:       lo,
 		hi:       hi,
 		nodes:    local,
-		halted:   make([]bool, k),
+		delivery: newDelivery(lo, k),
 		live:     k,
 		rngs:     make([]*rng.Source, k),
 		ctxs:     make([]*Context, k),
-		inboxes:  make([][]Envelope, k),
 		inActive: make([]bool, k),
 		sched:    newScheduler(k),
 		counters: metrics.NewCounters(n),
-		bwStamp:  make([]int64, k),
-		bwBits:   make([]int64, k),
 	}
+	s.bind(carrier.codec, carrier.opts, s.counters)
 	for v := 0; v < k; v++ {
 		s.rngs[v] = &rng.Source{}
 		s.ctxs[v] = &Context{net: carrier, id: graph.NodeID(lo + v), rng: s.rngs[v]}
@@ -240,6 +238,7 @@ func (s *Shard) Step(round int64, isInit, dense bool) ([]Routed, StepReport, err
 	nh := s.newlyHalted[:0]
 	eventDriven := !s.net.opts.DenseSweep
 	rep := StepReport{}
+	var nLocal int64
 	for _, v := range active {
 		ctx := s.ctxs[v]
 		if ctx.err != nil {
@@ -264,91 +263,103 @@ func (s *Shard) Step(round int64, isInit, dense bool) ([]Routed, StepReport, err
 		}
 		for i := range ctx.outbox {
 			rm := &ctx.outbox[i]
-			if t := int(rm.to); t >= s.lo && t < s.hi {
-				local = append(local, Routed{From: rm.from, To: rm.to, Msg: rm.msg})
-			} else {
-				out = append(out, Routed{From: rm.from, To: rm.to, Msg: rm.msg})
+			if rm.fan == nil {
+				if t := int(rm.to); t >= s.lo && t < s.hi {
+					local = append(local, *rm)
+					nLocal++
+				} else {
+					out = append(out, Routed{From: rm.from, To: rm.to, Msg: rm.msg})
+				}
+				continue
 			}
+			// A fan is ascending and the range is contiguous, so the local
+			// receivers are one sub-slice: retain it unexpanded and expand
+			// only the cross-shard prefix and suffix.
+			a, _ := slices.BinarySearch(rm.fan, graph.NodeID(s.lo))
+			b, _ := slices.BinarySearch(rm.fan, graph.NodeID(s.hi))
+			out = appendFan(out, rm, rm.fan[:a])
+			if a < b {
+				part := rm.fan[a:b]
+				local = append(local, routedMsg{from: rm.from, to: rm.to, msg: rm.msg, fan: part})
+				nLocal += int64(len(part))
+				if _, found := slices.BinarySearch(part, rm.to); found {
+					nLocal-- // the excepted receiver is skipped at delivery
+				}
+			}
+			out = appendFan(out, rm, rm.fan[b:])
 		}
 	}
 	s.out, s.localPending, s.newlyHalted = out, local, nh
-	s.localRouted += int64(len(local))
+	s.localRouted += nLocal
 	s.crossRouted += int64(len(out))
 	rep.Live, rep.LegacyLive = s.live, s.sched.legacyLive
 	rep.NewlyHalted = nh
 	// Halts are final for the round here, so whether a retained local
 	// message will activate its destination is already decided — the same
 	// judgment the in-process deliver makes via msgActive.
-	for i := range local {
-		if !s.halted[int(local[i].To)-s.lo] {
-			rep.LocalActive = true
-			break
-		}
-	}
+	rep.LocalActive = s.localActive(local)
 	rep.EarliestWake, rep.WakeOK = s.sched.earliestWake(s.halted)
 	return out, rep, nil
 }
 
+// appendFan expands the multicast rm over the receivers in part (a
+// sub-slice of rm.fan) into routed messages, skipping the excepted receiver.
+func appendFan(out []Routed, rm *routedMsg, part []graph.NodeID) []Routed {
+	for _, to := range part {
+		if to != rm.to {
+			out = append(out, Routed{From: rm.from, To: to, Msg: rm.msg})
+		}
+	}
+	return out
+}
+
+// localActive reports whether any retained local entry reaches a live
+// receiver.
+func (s *Shard) localActive(local []routedMsg) bool {
+	for i := range local {
+		rm := &local[i]
+		if rm.fan == nil {
+			if !s.halted[int(rm.to)-s.lo] {
+				return true
+			}
+			continue
+		}
+		for _, to := range rm.fan {
+			if to != rm.to && !s.halted[int(to)-s.lo] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Deliver routes this round's inbound messages into next-round inbox
-// buckets, enforcing per-edge bandwidth with the same generation-stamped
-// accounting as Network.deliver. inbound must be the concatenation of the
-// OTHER shards' cross-shard messages destined here, in shard order; the
-// messages Step retained locally are spliced back in at their sender
-// position (inbound senders below Lo, then local, then the rest), which
-// reconstructs the global sender-ascending order Network.deliver consumes —
-// runs of equal From stay contiguous, so each run is one bandwidth
-// generation exactly as in-process delivery sees it.
+// buckets through the delivery primitive Network.deliver uses. inbound must
+// be the concatenation of the OTHER shards' cross-shard messages destined
+// here, in shard order; the entries Step retained locally are spliced back
+// in at their sender position (inbound senders below Lo, then local, then
+// the rest), which reconstructs the global sender-ascending order
+// Network.deliver consumes — runs of equal From stay contiguous, so each
+// run is one bandwidth generation exactly as in-process delivery sees it.
 func (s *Shard) Deliver(round int64, inbound []Routed) error {
-	curFrom := graph.NodeID(-1)
+	s.begin()
 	i := 0
 	for ; i < len(inbound) && int(inbound[i].From) < s.lo; i++ {
-		if err := s.deliverOne(round, &inbound[i], &curFrom); err != nil {
+		if err := s.send(round, inbound[i].From, inbound[i].To, inbound[i].Msg); err != nil {
 			return err
 		}
 	}
 	for j := range s.localPending {
-		if err := s.deliverOne(round, &s.localPending[j], &curFrom); err != nil {
+		if err := s.route(round, &s.localPending[j]); err != nil {
 			return err
 		}
 	}
 	s.localPending = s.localPending[:0]
 	for ; i < len(inbound); i++ {
-		if err := s.deliverOne(round, &inbound[i], &curFrom); err != nil {
+		if err := s.send(round, inbound[i].From, inbound[i].To, inbound[i].Msg); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// deliverOne meters and buckets a single message: one position of the
-// in-process deliver loop.
-func (s *Shard) deliverOne(round int64, rm *Routed, curFrom *graph.NodeID) error {
-	lv := int(rm.To) - s.lo
-	if lv < 0 || lv >= s.hi-s.lo {
-		return fmt.Errorf("congest: shard [%d,%d) received message for node %d", s.lo, s.hi, rm.To)
-	}
-	sz := s.net.codec.Bits(rm.Msg)
-	if rm.From != *curFrom {
-		*curFrom = rm.From
-		s.bwGen++
-	}
-	if s.bwStamp[lv] != s.bwGen {
-		s.bwStamp[lv] = s.bwGen
-		s.bwBits[lv] = 0
-	}
-	s.bwBits[lv] += sz
-	if s.bwBits[lv] > s.net.opts.BandwidthBits {
-		return fmt.Errorf("%w: edge %d->%d carried %d bits in round %d (budget %d)",
-			ErrBandwidth, rm.From, rm.To, s.bwBits[lv], round, s.net.opts.BandwidthBits)
-	}
-	s.counters.AddMessage(sz)
-	if s.halted[lv] {
-		return nil // metered, but a halted node consumes nothing
-	}
-	if len(s.inboxes[lv]) == 0 {
-		s.msgActive = append(s.msgActive, int32(lv))
-	}
-	s.inboxes[lv] = append(s.inboxes[lv], Envelope{From: rm.From, Msg: rm.Msg})
 	return nil
 }
 

@@ -49,7 +49,7 @@ var _ congest.Node = (*dhc1Node)(nil)
 
 func (d *dhc1Node) Init(ctx *congest.Context) {
 	d.stage = 1
-	d.p1 = phase1{cfg: d.cfg}
+	d.p1.reset(d.cfg)
 	d.p1.init(ctx)
 	d.armWake(ctx)
 }
@@ -98,7 +98,7 @@ func (d *dhc1Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 		return
 	}
 	if ctx.Round() >= d.hp.phaseStart {
-		if d.hp.tick(ctx, inbox, d.p1.leader, d.p1.scopeNbrs) {
+		if d.hp.tick(ctx, inbox, d.p1.leader, d.p1.scope) {
 			ctx.Halt()
 			return
 		}
@@ -170,7 +170,8 @@ func (sess *DHC1Session) Run(ctx context.Context, g *graph.Graph, seed uint64, o
 		if sess.progs[i] == nil {
 			sess.progs[i] = &dhc1Node{}
 		}
-		*sess.progs[i] = dhc1Node{cfg: cfg, numK: int32(numColors), hyperMax: opts.HyperMaxSteps}
+		p := sess.progs[i]
+		*p = dhc1Node{cfg: cfg, numK: int32(numColors), hyperMax: opts.HyperMaxSteps, p1: p.p1}
 		sess.nodes[i] = sess.progs[i]
 	}
 	if sess.net == nil {

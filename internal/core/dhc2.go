@@ -55,9 +55,17 @@ var _ congest.Node = (*dhc2Node)(nil)
 
 func (d *dhc2Node) Init(ctx *congest.Context) {
 	d.stage = 1
-	d.p1 = phase1{cfg: d.cfg}
+	d.p1.reset(d.cfg)
 	d.p1.init(ctx)
 	d.armWake(ctx)
+}
+
+// rebind readies a retained program for a new trial, keeping both phases'
+// colour and scope storage.
+func (d *dhc2Node) rebind(cfg phase1Config) {
+	d.cfg, d.stage = cfg, 0
+	d.p1.reset(cfg)
+	d.mp.reset(cfg.B, cfg.NumColors)
 }
 
 // armWake declares this node's next self-scheduled invocation to the
@@ -76,7 +84,7 @@ func (d *dhc2Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	if d.stage == 1 {
 		if d.p1.tick(ctx, inbox) {
 			d.stage = 2
-			d.mp = mergePhase{B: d.cfg.B, K: d.cfg.NumColors}
+			d.mp.reset(d.cfg.B, d.cfg.NumColors)
 			succ, pred := graph.NodeID(-1), graph.NodeID(-1)
 			if d.p1.dra != nil {
 				succ, pred = d.p1.dra.Succ(), d.p1.dra.Pred()
@@ -200,7 +208,7 @@ func (sess *DHC2Session) Run(ctx context.Context, g *graph.Graph, seed uint64, o
 		if sess.progs[i] == nil {
 			sess.progs[i] = &dhc2Node{}
 		}
-		*sess.progs[i] = dhc2Node{cfg: cfg}
+		sess.progs[i].rebind(cfg)
 		sess.nodes[i] = sess.progs[i]
 	}
 	if sess.net == nil {

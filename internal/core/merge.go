@@ -32,15 +32,14 @@ type mergePhase struct {
 	K int32
 
 	color   int32
-	nbColor map[graph.NodeID]int32
-	// scopeNbrs/partnerNbrs cache the same-color and partner-color neighbor
-	// lists for this level (neighbor-list order), rebuilt from the level's
-	// color exchange so the flood hot paths iterate flat slices instead of
-	// filtering every neighbor through a map lookup.
-	scopeNbrs   []graph.NodeID
-	partnerNbrs []graph.NodeID
-	succ        graph.NodeID
-	pred        graph.NodeID
+	nbColor colorView
+	// scope/partner are the same-color and (at active nodes) partner-color
+	// neighbours of this level, rebuilt from the level's color exchange
+	// into storage reused across levels and sessions.
+	scope   congest.Scope
+	partner congest.Scope
+	succ    graph.NodeID
+	pred    graph.NodeID
 
 	level      int32
 	levelStart int64
@@ -100,6 +99,12 @@ func (m *mergePhase) levels() int32 {
 // totalRounds is the whole Phase 2 budget after its start round.
 func (m *mergePhase) totalRounds() int64 { return int64(m.levels()) * m.levelRounds() }
 
+// reset readies the phase for a new run with broadcast bound b and k
+// initial colors, keeping the colour and scope storage of the previous one.
+func (m *mergePhase) reset(b int64, k int32) {
+	*m = mergePhase{B: b, K: k, nbColor: m.nbColor, scope: m.scope, partner: m.partner}
+}
+
 // start initializes the phase from Phase 1 results.
 func (m *mergePhase) start(color int32, succ, pred graph.NodeID, startRound int64) {
 	m.color = color
@@ -112,9 +117,7 @@ func (m *mergePhase) start(color int32, succ, pred graph.NodeID, startRound int6
 }
 
 func (m *mergePhase) resetLevel() {
-	m.nbColor = make(map[graph.NodeID]int32)
-	m.scopeNbrs = m.scopeNbrs[:0]
-	m.partnerNbrs = m.partnerNbrs[:0]
+	m.nbColor.heard = 0
 	m.pendingProbe = probe{}
 	m.confirmedSucc = false
 	m.confirmedPred = false
@@ -145,22 +148,6 @@ func (m *mergePhase) colorsAtLevel() int32 {
 		k = (k + 1) / 2
 	}
 	return k
-}
-
-func (m *mergePhase) inScope(nb graph.NodeID) bool {
-	c, ok := m.nbColor[nb]
-	return ok && c == m.color
-}
-
-func (m *mergePhase) partnerScope(nb graph.NodeID) bool {
-	c, ok := m.nbColor[nb]
-	if !ok {
-		return false
-	}
-	if m.activeThisLevel() {
-		return c == m.color+1
-	}
-	return c == m.color-1
 }
 
 // nextWake declares the merge phase's wake-up discipline: within each level
@@ -203,28 +190,16 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	off := ctx.Round() - m.levelStart
 	switch {
 	case off == 0:
-		for _, nb := range ctx.Neighbors() {
-			ctx.Send(nb, wire.Msg(wire.KindColor, m.color))
-		}
+		ctx.Broadcast(wire.Msg(wire.KindColor, m.color))
 	case off == 1:
-		for _, env := range inbox {
-			if env.Msg.Kind == wire.KindColor {
-				m.nbColor[env.From] = env.Msg.Arg(0)
-			}
-		}
-		for _, nb := range ctx.Neighbors() {
-			if m.inScope(nb) {
-				m.scopeNbrs = append(m.scopeNbrs, nb)
-			} else if m.partnerScope(nb) {
-				m.partnerNbrs = append(m.partnerNbrs, nb)
-			}
-		}
+		m.nbColor.reset(ctx.Degree())
+		m.nbColor.record(ctx.Neighbors(), inbox)
+		m.scope = m.nbColor.scope(ctx, m.scope, m.color)
 		if m.alive && m.activeThisLevel() {
 			// Algorithm 3 line 7: announce the cycle edge (v, succ(v))
 			// to every partner-colored neighbor.
-			for _, nb := range m.partnerNbrs {
-				ctx.Send(nb, wire.Msg(wire.KindVerify, int32(m.succ)))
-			}
+			m.partner = m.nbColor.scope(ctx, m.partner, m.color+1)
+			ctx.Multicast(m.partner, -1, wire.Msg(wire.KindVerify, int32(m.succ)))
 		}
 	case off == 2:
 		m.handleProbes(ctx, inbox)
@@ -256,7 +231,7 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 		m.absorbCandidates(ctx, inbox)
 		m.handleBridgeAndReverse(ctx, inbox)
 	}
-	ctx.ObserveMemory(int64(len(m.nbColor)) + 24)
+	ctx.ObserveMemory(int64(m.nbColor.heard) + 24)
 	return false
 }
 
@@ -483,10 +458,5 @@ func (m *mergePhase) applyReverse(ctx *congest.Context, msg wire.Message) {
 }
 
 func (m *mergePhase) floodScope(ctx *congest.Context, msg wire.Message, except graph.NodeID) {
-	for _, nb := range m.scopeNbrs {
-		if nb == except {
-			continue
-		}
-		ctx.Send(nb, msg)
-	}
+	ctx.Multicast(m.scope, except, msg)
 }

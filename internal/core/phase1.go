@@ -61,12 +61,10 @@ type phase1 struct {
 	cfg phase1Config
 
 	color   int32
-	nbColor map[graph.NodeID]int32
-	// scopeNbrs caches the in-scope (same-color) neighbor list in
-	// neighbor-list order once colors are known; every scoped flood
-	// iterates it directly instead of filtering the full neighbor list
-	// through a map lookup, which profiling showed dominated flood cost.
-	scopeNbrs []graph.NodeID
+	nbColor colorView
+	// scope holds the in-scope (same-color) neighbours once colors are
+	// known; every scoped flood multicasts over it.
+	scope congest.Scope
 
 	electBest graph.NodeID
 	leader    bool
@@ -106,22 +104,20 @@ func (p *phase1) scopeBFSStart() int64 { return p.cfg.B + 2 }
 func (p *phase1) countStart() int64    { return 2*p.cfg.B + 3 }
 func (p *phase1) draStart() int64      { return 4*p.cfg.B + 8 }
 
+// reset readies the phase for a new run, keeping the colour and scope
+// storage of the previous one.
+func (p *phase1) reset(cfg phase1Config) {
+	*p = phase1{cfg: cfg, nbColor: p.nbColor, scope: p.scope}
+}
+
 func (p *phase1) init(ctx *congest.Context) {
 	p.color = int32(ctx.Rand().Intn(int(p.cfg.NumColors)))
-	p.nbColor = make(map[graph.NodeID]int32, ctx.Degree())
+	p.nbColor.reset(ctx.Degree())
 	p.electBest = ctx.ID()
-	for _, nb := range ctx.Neighbors() {
-		ctx.Send(nb, wire.Msg(wire.KindColor, p.color))
-	}
+	ctx.Broadcast(wire.Msg(wire.KindColor, p.color))
 	p.globalBFS = proto.NewBFSState(0)
 	p.globalBFS.Tag = tagGlobalTree
 	p.globalBFS.Start(ctx)
-}
-
-// inScope reports whether neighbor nb is in this node's partition.
-func (p *phase1) inScope(nb graph.NodeID) bool {
-	c, ok := p.nbColor[nb]
-	return ok && c == p.color
 }
 
 // tick advances Phase 1 by one round; returns true once complete.
@@ -129,19 +125,11 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	round := ctx.Round()
 
 	// Color records arrive in round 1 and drive everything scoped.
-	for _, env := range inbox {
-		if env.Msg.Kind == wire.KindColor {
-			p.nbColor[env.From] = env.Msg.Arg(0)
-		}
-	}
+	p.nbColor.record(ctx.Neighbors(), inbox)
 	if round == p.electStart() {
-		// All colors are in (announced at Init, delivered round 1): cache
-		// the in-scope neighbor list for the scoped flood hot paths.
-		for _, nb := range ctx.Neighbors() {
-			if c, ok := p.nbColor[nb]; ok && c == p.color {
-				p.scopeNbrs = append(p.scopeNbrs, nb)
-			}
-		}
+		// All colors are in (announced at Init, delivered round 1): build
+		// the partition scope every scoped flood multicasts over.
+		p.scope = p.nbColor.scope(ctx, p.scope, p.color)
 	}
 
 	// Global tree building and barrier traffic flow on their own kinds and
@@ -163,7 +151,7 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	case round == p.scopeBFSStart():
 		p.absorbCandidates(ctx, inbox) // stragglers from the last send
 		p.leader = p.electBest == ctx.ID()
-		p.scopeBFS = proto.NewScopedBFSState(p.electBest, p.inScope)
+		p.scopeBFS = proto.NewScopedBFSState(p.electBest, p.scope)
 		p.scopeBFS.Tag = tagScopeTree
 		if p.leader {
 			p.scopeBFS.Start(ctx)
@@ -265,7 +253,7 @@ func (p *phase1) newDRAState(ctx *congest.Context, startRound int64) *dra.State 
 	params := dra.Params{
 		ScopeSize:       p.scopeSize,
 		IsInitialHead:   p.leader,
-		ScopeNeighbors:  p.scopeNbrs,
+		Scope:           p.scope,
 		BroadcastRounds: p.cfg.B,
 		StartRound:      startRound,
 		Tag:             tagPhase1DRA + int32(p.attempts),
@@ -282,9 +270,7 @@ func (p *phase1) newDRAState(ctx *congest.Context, startRound int64) *dra.State 
 }
 
 func (p *phase1) sendCandidates(ctx *congest.Context) {
-	for _, nb := range p.scopeNbrs {
-		ctx.Send(nb, wire.Msg(wire.KindCandidate, int32(p.electBest)))
-	}
+	ctx.Multicast(p.scope, -1, wire.Msg(wire.KindCandidate, int32(p.electBest)))
 }
 
 func (p *phase1) absorbCandidates(ctx *congest.Context, inbox []congest.Envelope) {
@@ -306,7 +292,7 @@ func (p *phase1) absorbCandidates(ctx *congest.Context, inbox []congest.Envelope
 // memoryWords estimates retained state: neighbor colors (O(deg)), scope tree
 // children, DRA state, and O(1) scalars.
 func (p *phase1) memoryWords() int64 {
-	words := int64(len(p.nbColor)) + 16
+	words := int64(p.nbColor.heard) + 16
 	if p.scopeBFS != nil {
 		words += int64(len(p.scopeBFS.Children))
 	}

@@ -48,7 +48,7 @@ func (d *Node) Init(ctx *congest.Context) {
 	p := Params{
 		ScopeSize:       ctx.N(),
 		IsInitialHead:   ctx.ID() == 0,
-		ScopeNeighbors:  ctx.Neighbors(),
+		Scope:           ctx.AllNeighbors(),
 		BroadcastRounds: b,
 		StartRound:      1,
 		Tag:             1,

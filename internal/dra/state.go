@@ -48,10 +48,10 @@ type Params struct {
 	ScopeSize int
 	// IsInitialHead designates the single starting node.
 	IsInitialHead bool
-	// ScopeNeighbors lists this node's in-scope neighbors in neighbor-list
-	// order; the slice is retained (read-only) for flood forwarding, so one
-	// precomputed list serves every session.
-	ScopeNeighbors []graph.NodeID
+	// Scope is this node's in-scope neighbours. It is retained for flood
+	// forwarding, so one scope built when the partition is known serves
+	// every session.
+	Scope congest.Scope
 	// BroadcastRounds is the consistency wait after a rotation; it must be
 	// an upper bound on the scope diameter.
 	BroadcastRounds int64
@@ -87,7 +87,7 @@ type State struct {
 	terminalSeen  bool  // success/failure flood already forwarded
 	terminalRound int64 // round stamped into the terminal flood
 
-	scope  []graph.NodeID // in-scope neighbors (shared, read-only)
+	scope  congest.Scope // in-scope neighbours (shared, read-only)
 	unused []graph.NodeID
 	steps  int64
 	status Status
@@ -123,9 +123,9 @@ func (s *State) Reset(ctx *congest.Context, p Params) {
 		succ:     -1,
 		lastSent: -1,
 		status:   Running,
-		scope:    p.ScopeNeighbors,
+		scope:    p.Scope,
 	}
-	s.unused = append(unused, s.scope...)
+	s.unused = append(unused, s.scope.Nodes()...)
 	if p.IsInitialHead {
 		s.cycindex = 1
 		s.isHead = true
@@ -235,12 +235,7 @@ func (s *State) originate(ctx *congest.Context, m wire.Message) {
 }
 
 func (s *State) forwardScope(ctx *congest.Context, m wire.Message, except graph.NodeID) {
-	for _, nb := range s.scope {
-		if nb == except {
-			continue
-		}
-		ctx.Send(nb, m)
-	}
+	ctx.Multicast(s.scope, except, m)
 }
 
 // applyRotation applies the renumbering i <- h + j + 1 - i for positions in

@@ -24,6 +24,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -239,9 +240,8 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	if u == v || int(u) >= g.n || int(v) >= g.n || u < 0 || v < 0 {
 		return false
 	}
-	list := g.arena[g.off[u]:g.off[u+1]]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= v })
-	return i < len(list) && list[i] == v
+	_, found := slices.BinarySearch(g.arena[g.off[u]:g.off[u+1]], v)
+	return found
 }
 
 // Edges returns all edges in canonical (U < V) order, sorted.

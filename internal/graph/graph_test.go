@@ -53,6 +53,57 @@ func TestNeighborsSorted(t *testing.T) {
 	}
 }
 
+// linearHasEdge is HasEdge's specification: u and v are distinct in-range
+// vertices and v appears in u's neighbour row.
+func linearHasEdge(g *Graph, u, v NodeID) bool {
+	if u == v || u < 0 || v < 0 || int(u) >= g.N() || int(v) >= g.N() {
+		return false
+	}
+	for _, w := range g.Neighbors(u) {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHasEdgeMatchesLinearScan checks the binary-search HasEdge against a
+// linear scan of the row for every pair of ids in and around the vertex
+// range — self pairs, negative ids and ids at or past n included — on
+// graphs from empty to complete, then on random ids of any magnitude.
+func TestHasEdgeMatchesLinearScan(t *testing.T) {
+	graphs := []*Graph{
+		NewBuilder(0).Build(),
+		NewBuilder(5).Build(),
+		Path(7),
+		Complete(9),
+		GNP(60, 0.1, rng.New(3)),
+		GNP(60, 0.6, rng.New(4)),
+	}
+	for gi, g := range graphs {
+		for u := NodeID(-3); int(u) < g.N()+3; u++ {
+			for v := NodeID(-3); int(v) < g.N()+3; v++ {
+				if got, want := g.HasEdge(u, v), linearHasEdge(g, u, v); got != want {
+					t.Fatalf("graph %d: HasEdge(%d,%d) = %v, linear scan says %v", gi, u, v, got, want)
+				}
+			}
+		}
+	}
+	g := graphs[len(graphs)-1]
+	prop := func(u, v int32) bool {
+		return g.HasEdge(NodeID(u), NodeID(v)) == linearHasEdge(g, NodeID(u), NodeID(v))
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+	near := func(u, v uint8) bool { // ids in [0, 64): mostly in range for n = 60
+		return prop(int32(u%64), int32(v%64))
+	}
+	if err := quick.Check(near, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEdgesRoundTrip(t *testing.T) {
 	src := rng.New(2)
 	g := GNP(100, 0.05, src)

@@ -64,6 +64,19 @@ func (c *Counters) AddMessage(bits int64) {
 	}
 }
 
+// AddMessages records k messages of the same width, as k AddMessage calls
+// would.
+func (c *Counters) AddMessages(k, bits int64) {
+	if k <= 0 {
+		return
+	}
+	c.Messages += k
+	c.Bits += k * bits
+	if bits > c.MaxMessageBits {
+		c.MaxMessageBits = bits
+	}
+}
+
 // ObserveMemory records the current retained-state size (words) of node v,
 // keeping the maximum.
 func (c *Counters) ObserveMemory(v int, words int64) {

@@ -1,8 +1,11 @@
 // Package proto implements the reusable distributed primitives the paper's
-// algorithms are built from: flooding broadcast scoped to a subgraph, leader
-// election by minimum-id flooding, and BFS-tree construction. All primitives
-// run in the CONGEST model via package congest and are written as embeddable
-// state machines so algorithm nodes can compose them.
+// algorithms are built from: leader election by minimum-id flooding, BFS-tree
+// construction (optionally restricted to a congest.Scope), and convergecast
+// counting and barriers over such trees. Flooding within a subgraph needs no
+// machine of its own: it is congest.Context.Multicast over a scope, with the
+// embedder's own duplicate suppression (DRA's step watermark, for example).
+// All primitives run in the CONGEST model via package congest and are
+// written as embeddable state machines so algorithm nodes can compose them.
 //
 // Activity contract (for the event-driven simulator): every machine in this
 // package is message-driven after its start call — an Absorb/Tick with an
@@ -43,9 +46,7 @@ func NewFlooder(self graph.NodeID) *Flooder {
 
 // Start sends the initial candidate to all neighbors. Call from Init.
 func (f *Flooder) Start(ctx *congest.Context) {
-	for _, nb := range ctx.Neighbors() {
-		ctx.Send(nb, wire.Msg(wire.KindCandidate, int32(f.Best)))
-	}
+	ctx.Broadcast(wire.Msg(wire.KindCandidate, int32(f.Best)))
 	f.changed = false
 }
 
@@ -63,9 +64,7 @@ func (f *Flooder) Absorb(ctx *congest.Context, inbox []congest.Envelope) bool {
 		}
 	}
 	if improved {
-		for _, nb := range ctx.Neighbors() {
-			ctx.Send(nb, wire.Msg(wire.KindCandidate, int32(f.Best)))
-		}
+		ctx.Broadcast(wire.Msg(wire.KindCandidate, int32(f.Best)))
 	}
 	f.changed = improved
 	return improved
@@ -85,13 +84,14 @@ type BFSState struct {
 	Parent   graph.NodeID // -1 until adopted
 	Level    int32        // hop distance from root; -1 until adopted
 	Children []graph.NodeID
-	// InScope, if non-nil, restricts the tree to a vertex subset: explore
-	// messages are only sent to in-scope neighbors (DHC builds one tree
-	// per partition).
-	InScope func(graph.NodeID) bool
 	// Tag distinguishes concurrent BFS instances (e.g. the global tree vs
 	// per-partition trees); explore/ack messages carry it.
 	Tag int32
+	// scope, when scoped, restricts the tree to a vertex subset: explore
+	// messages go only to the node's in-scope neighbours (DHC builds one
+	// tree per partition).
+	scope  congest.Scope
+	scoped bool
 }
 
 // NewBFSState returns idle BFS state; the root adopts itself at Start.
@@ -99,21 +99,18 @@ func NewBFSState(root graph.NodeID) *BFSState {
 	return &BFSState{Root: root, Parent: -1, Level: -1}
 }
 
-// NewScopedBFSState returns BFS state restricted to a vertex subset.
-func NewScopedBFSState(root graph.NodeID, inScope func(graph.NodeID) bool) *BFSState {
-	return &BFSState{Root: root, Parent: -1, Level: -1, InScope: inScope}
+// NewScopedBFSState returns BFS state restricted to the vertex subset the
+// node's in-scope neighbours belong to.
+func NewScopedBFSState(root graph.NodeID, scope congest.Scope) *BFSState {
+	return &BFSState{Root: root, Parent: -1, Level: -1, scope: scope, scoped: true}
 }
 
 func (b *BFSState) sendExplore(ctx *congest.Context, except graph.NodeID) {
-	for _, nb := range ctx.Neighbors() {
-		if nb == except {
-			continue
-		}
-		if b.InScope != nil && !b.InScope(nb) {
-			continue
-		}
-		ctx.Send(nb, wire.Msg(wire.KindBFSExplore, b.Level, b.Tag))
+	scope := b.scope
+	if !b.scoped {
+		scope = ctx.AllNeighbors()
 	}
+	ctx.Multicast(scope, except, wire.Msg(wire.KindBFSExplore, b.Level, b.Tag))
 }
 
 // Start begins exploration if this node is the root. Call from the round the

@@ -312,11 +312,7 @@ func (u *node) observeMemory(ctx *congest.Context) {
 }
 
 func forward(ctx *congest.Context, m wire.Message, except graph.NodeID) {
-	for _, nb := range ctx.Neighbors() {
-		if nb != except {
-			ctx.Send(nb, m)
-		}
-	}
+	ctx.Multicast(ctx.AllNeighbors(), except, m)
 }
 
 // Result is a successful run's output.

@@ -103,10 +103,43 @@ func TestSolverReuseMatchesFreshSolve(t *testing.T) {
 // per-run arena the session layer recycles.
 func TestSolverReuseAllocBytes(t *testing.T) {
 	g := NewGNP(128, 0.5, 21)
-	opts := Options{Engine: EngineExact}
+	fresh, reused := reuseAllocBytes(t, g, AlgorithmDRA, Options{Engine: EngineExact})
+	if ratio := float64(fresh) / float64(reused); ratio < 5 {
+		t.Fatalf("solver reuse saves only %.1fx bytes/trial (fresh %d, reused %d); want >= 5x",
+			ratio, fresh, reused)
+	}
+}
+
+// dhc2ReuseBytesCeiling caps the bytes a reused exact-engine DHC2 trial may
+// allocate in TestSolverReuseAllocBytesDHC2: about 1.35x the ~190 KB
+// measured with port-indexed neighbour colours and scopes refilled in place
+// (what is left is per-run protocol state: barrier, BFS and DRA machines).
+// The per-node colour maps those replaced put a reused trial on the same
+// instance at ~1.0 MB.
+const dhc2ReuseBytesCeiling = 256 << 10
+
+// TestSolverReuseAllocBytesDHC2 is the DHC2 variant of the allocation
+// regression test: besides the 5x reuse ratio, a reused trial must stay
+// under an absolute byte ceiling, so per-node colour maps or per-level
+// scope slices cannot come back unnoticed.
+func TestSolverReuseAllocBytesDHC2(t *testing.T) {
+	g := NewGNP(128, 0.5, 21)
+	fresh, reused := reuseAllocBytes(t, g, AlgorithmDHC2, Options{Engine: EngineExact, NumColors: 4})
+	if ratio := float64(fresh) / float64(reused); ratio < 5 {
+		t.Fatalf("solver reuse saves only %.1fx bytes/trial (fresh %d, reused %d); want >= 5x",
+			ratio, fresh, reused)
+	}
+	if reused > dhc2ReuseBytesCeiling {
+		t.Fatalf("reused DHC2 trial allocates %d B; ceiling %d B", reused, dhc2ReuseBytesCeiling)
+	}
+}
+
+// reuseAllocBytes returns the heap bytes per trial of fresh Solve calls and
+// of trials on one warmed Solver, over the same six seeds.
+func reuseAllocBytes(t *testing.T, g *Graph, algo Algorithm, opts Options) (fresh, reused uint64) {
+	t.Helper()
 	const trials = 6
 	seeds := []uint64{1, 2, 3, 4, 5, 6}
-
 	measure := func(f func()) uint64 {
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -115,17 +148,16 @@ func TestSolverReuseAllocBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-
 	freshBytes := measure(func() {
 		for _, seed := range seeds {
 			o := opts
 			o.Seed = seed
-			if _, err := Solve(g, AlgorithmDRA, o); err != nil {
+			if _, err := Solve(g, algo, o); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
-	solver, err := NewSolver(AlgorithmDRA, opts)
+	solver, err := NewSolver(algo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +172,10 @@ func TestSolverReuseAllocBytes(t *testing.T) {
 			}
 		}
 	})
-	ratio := float64(freshBytes) / float64(reuseBytes)
-	t.Logf("fresh: %d B/trial, reused: %d B/trial, ratio %.1fx",
-		freshBytes/trials, reuseBytes/trials, ratio)
-	if ratio < 5 {
-		t.Fatalf("solver reuse saves only %.1fx bytes/trial (fresh %d, reused %d); want >= 5x",
-			ratio, freshBytes/trials, reuseBytes/trials)
-	}
+	fresh, reused = freshBytes/trials, reuseBytes/trials
+	t.Logf("%s fresh: %d B/trial, reused: %d B/trial, ratio %.1fx",
+		algo, fresh, reused, float64(freshBytes)/float64(reuseBytes))
+	return fresh, reused
 }
 
 // waitNoGoroutineLeak asserts the goroutine count settles back to the
