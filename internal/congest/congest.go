@@ -50,6 +50,16 @@
 // Options.FaultHook when one is set. Network and Shard deliver through the
 // same primitive, so sharded runs meter multicasts identically.
 //
+// # Inboxes
+//
+// Delivery is a counting sort: one pass meters every copy and counts the
+// copies per receiver, a second pass writes them into one flat per-round
+// inbox arena, and each receiver's inbox is its sub-slice of the arena. The
+// next round's delivery overwrites the arena, so an inbox is valid only
+// during the Round call that receives it; a node that needs messages later
+// copies them out. The sub-slice's capacity is clipped to its length, so a
+// node may append to its own inbox without touching another node's.
+//
 // Determinism: a run is a pure function of (graph, node programs, seed).
 // Each node receives its own RNG stream split from the run seed, inboxes
 // are assembled in sender-id order, and the active set is derived
@@ -96,7 +106,8 @@ type Node interface {
 	Init(ctx *Context)
 	// Round processes the messages delivered this round and may send more.
 	// Under event-driven execution it runs only on delivery or at a
-	// scheduled wake-up.
+	// scheduled wake-up. The inbox is sorted by sender and valid only
+	// during this call (see the package doc on inboxes).
 	Round(ctx *Context, inbox []Envelope)
 }
 
@@ -274,8 +285,8 @@ type Options struct {
 
 // Network binds node programs to a graph and executes rounds. A Network is
 // reusable: Reset rebinds it to a new graph and program set, and runs on a
-// same-sized graph recycle the per-run arena (persistent node Contexts, inbox
-// buckets, the wake-schedule heap, the outbox concatenation buffer, the
+// same-sized graph recycle the per-run arena (persistent node Contexts, the
+// inbox arena, the wake-schedule heap, the outbox concatenation buffer, the
 // bandwidth stamps) instead of reallocating it, which is what makes repeated
 // solver trials cheap. A Network is not safe for concurrent runs.
 type Network struct {
@@ -431,15 +442,15 @@ func (n *Network) newRun(seed uint64) (*runState, *executor, *metrics.Counters) 
 }
 
 // runState is the engine's mutable per-run storage. Everything here is
-// reused round over round — contexts keep their outbox capacity, inbox
-// buckets recycle their backing arrays, and the bandwidth stamps are flat
+// reused round over round — contexts keep their outbox capacity, one flat
+// inbox arena backs every round's inboxes, and the bandwidth stamps are flat
 // arrays — so a round's allocations are bounded by growth in message volume,
 // not by n or by round count.
 type runState struct {
-	// delivery holds the halted flags, inbox buckets, the message-activated
-	// receivers and the bandwidth stamps; deliver appends envelopes in
-	// sender-id order because the outbox concatenation is already
-	// sender-sorted.
+	// delivery holds the halted flags, the inbox arena and inboxes, the
+	// message-activated receivers and the bandwidth stamps; deliver fills
+	// inboxes in sender-id order because the outbox concatenation is
+	// already sender-sorted.
 	delivery
 	live int // number of non-halted nodes
 	rngs []*rng.Source
@@ -471,8 +482,10 @@ func newRunState(n int) *runState {
 }
 
 // reset restores the arena to its pre-run state while keeping every backing
-// array (inbox buckets, outbox concatenation buffer, heap storage, context
+// array (inbox arena, outbox concatenation buffer, heap storage, context
 // outboxes), so a rerun on a same-sized graph allocates nothing up front.
+// Inboxes published by a run that ended early (cancelled, failed, or out of
+// rounds) were never consumed; they are dropped here.
 // The bandwidth stamps are left as-is: generations are monotonically
 // increasing across runs, so stale stamps can never match a fresh generation.
 func (s *runState) reset() {
@@ -480,7 +493,7 @@ func (s *runState) reset() {
 	for v := 0; v < n; v++ {
 		s.halted[v] = false
 		s.inActive[v] = false
-		s.inboxes[v] = s.inboxes[v][:0]
+		s.inboxes[v] = nil
 	}
 	s.live = n
 	s.out = s.out[:0]
@@ -508,19 +521,28 @@ func (s *runState) nextActiveRound(round int64) (int64, bool) {
 	return w, true
 }
 
-// deliver routes the sender-ordered outbox concatenation into next-round
-// inbox buckets through the shared delivery primitive, applying fault hooks
-// and bandwidth enforcement. Called single-threaded. It performs no
+// deliver routes the sender-ordered outbox concatenation into the next
+// round's inboxes through the shared delivery primitive, applying fault
+// hooks and bandwidth enforcement. Called single-threaded. It performs no
 // comparison sort and, at steady state, no allocations: `out` is grouped by
 // sender in ascending id order (the merge loop concatenates outboxes in
-// active-set order), so appending each envelope to its receiver's recycled
-// bucket yields sender-sorted inboxes for free.
+// active-set order), so the counting sort into the inbox arena yields
+// sender-sorted inboxes for free.
 func (n *Network) deliver(round int64, out []routedMsg, state *runState) error {
 	state.begin()
 	for i := range out {
-		if err := state.route(round, &out[i]); err != nil {
+		if err := state.count(round, &out[i]); err != nil {
 			return err
 		}
 	}
+	state.layout()
+	if state.hook != nil {
+		state.fillStaged()
+	} else {
+		for i := range out {
+			state.fill(&out[i])
+		}
+	}
+	state.publish()
 	return nil
 }

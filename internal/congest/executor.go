@@ -11,7 +11,7 @@ import (
 // sequentially or with a worker pool. Both produce identical executions:
 // the active set is assembled single-threaded before invocation, nodes use
 // private RNG streams, outboxes are concatenated in node-id order, and
-// metric merging is order-insensitive. Contexts, inbox buckets and the
+// metric merging is order-insensitive. Contexts, the inbox arena and the
 // concatenation buffer live in runState and are reused round over round, so
 // a round's cost is O(active nodes + delivered messages).
 type executor struct {
@@ -81,11 +81,10 @@ func (e *executor) invoke(v int32, round int64, isInit bool) {
 		e.net.nodes[v].Init(ctx)
 		return
 	}
-	inbox := s.inboxes[v]
-	e.net.nodes[v].Round(ctx, inbox)
-	// Recycle the bucket: the inbox is documented as valid only during the
-	// Round call, so next round's deliveries may reuse the backing array.
-	s.inboxes[v] = inbox[:0]
+	e.net.nodes[v].Round(ctx, s.inboxes[v])
+	// The inbox is consumed: this round's delivery refills the arena it
+	// points into, and publishes inboxes only for its own receivers.
+	s.inboxes[v] = nil
 }
 
 // step runs round `round` (or the Init phase when isInit). It invokes the

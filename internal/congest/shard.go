@@ -53,7 +53,7 @@ type StepReport struct {
 
 // Shard executes a contiguous vertex range [Lo, Hi) of a network, reusing
 // the exact per-round machinery of the in-process engine — the same active
-// set assembly, scheduler, merge loop and bucketed delivery — restricted to
+// set assembly, scheduler, merge loop and arena delivery — restricted to
 // local indices. The distributed engine composes K Shards behind transports;
 // because each piece of the round pipeline is the in-process code operating
 // on a partition of the same state, a distributed run is byte-identical to
@@ -84,8 +84,8 @@ type Shard struct {
 	lo, hi int
 	nodes  []Node // local programs, indexed v-lo
 
-	// delivery is the same metering and bucketing state Network uses,
-	// indexed by local receiver (v - lo).
+	// delivery is the same metering and inbox state Network uses, indexed
+	// by local receiver (v - lo).
 	delivery
 	live     int
 	rngs     []*rng.Source
@@ -223,9 +223,8 @@ func (s *Shard) Step(round int64, isInit, dense bool) ([]Routed, StepReport, err
 			s.nodes[v].Init(ctx)
 			continue
 		}
-		inbox := s.inboxes[v]
-		s.nodes[v].Round(ctx, inbox)
-		s.inboxes[v] = inbox[:0]
+		s.nodes[v].Round(ctx, s.inboxes[v])
+		s.inboxes[v] = nil
 	}
 
 	// Merge in local-id order — the same order the in-process merge loop
@@ -333,34 +332,61 @@ func (s *Shard) localActive(local []routedMsg) bool {
 	return false
 }
 
-// Deliver routes this round's inbound messages into next-round inbox
-// buckets through the delivery primitive Network.deliver uses. inbound must
+// Deliver routes this round's inbound messages into the next round's
+// inboxes through the delivery primitive Network.deliver uses. inbound must
 // be the concatenation of the OTHER shards' cross-shard messages destined
 // here, in shard order; the entries Step retained locally are spliced back
 // in at their sender position (inbound senders below Lo, then local, then
 // the rest), which reconstructs the global sender-ascending order
 // Network.deliver consumes — runs of equal From stay contiguous, so each
 // run is one bandwidth generation exactly as in-process delivery sees it.
+// The metering pass and the arena fill walk that stream in the same order.
 func (s *Shard) Deliver(round int64, inbound []Routed) error {
 	s.begin()
-	i := 0
-	for ; i < len(inbound) && int(inbound[i].From) < s.lo; i++ {
-		if err := s.send(round, inbound[i].From, inbound[i].To, inbound[i].Msg); err != nil {
-			return err
-		}
+	split := 0
+	for split < len(inbound) && int(inbound[split].From) < s.lo {
+		split++
+	}
+	if err := s.countRouted(round, inbound[:split]); err != nil {
+		return err
 	}
 	for j := range s.localPending {
-		if err := s.route(round, &s.localPending[j]); err != nil {
+		if err := s.count(round, &s.localPending[j]); err != nil {
 			return err
 		}
 	}
+	if err := s.countRouted(round, inbound[split:]); err != nil {
+		return err
+	}
+	s.layout()
+	// NewShard rejects a FaultHook, so nothing was staged: fill re-walks
+	// the stream.
+	s.fillRouted(inbound[:split])
+	for j := range s.localPending {
+		s.fill(&s.localPending[j])
+	}
+	s.fillRouted(inbound[split:])
 	s.localPending = s.localPending[:0]
-	for ; i < len(inbound); i++ {
-		if err := s.send(round, inbound[i].From, inbound[i].To, inbound[i].Msg); err != nil {
+	s.publish()
+	return nil
+}
+
+// countRouted meters a run of inbound messages (delivery pass 1).
+func (s *Shard) countRouted(round int64, rs []Routed) error {
+	for i := range rs {
+		if err := s.send(round, rs[i].From, rs[i].To, rs[i].Msg); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// fillRouted writes a run of metered inbound messages to the arena
+// (delivery pass 2).
+func (s *Shard) fillRouted(rs []Routed) {
+	for i := range rs {
+		s.put(int(rs[i].To)-s.lo, Envelope{From: rs[i].From, Msg: rs[i].Msg})
+	}
 }
 
 // RoutedSplit returns the shard's cumulative message counts by routing

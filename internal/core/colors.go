@@ -57,3 +57,17 @@ func (cv *colorView) record(nbrs []graph.NodeID, inbox []congest.Envelope) {
 func (cv *colorView) scope(ctx *congest.Context, dst congest.Scope, c int32) congest.Scope {
 	return ctx.FilterNeighbors(dst, func(port int) bool { return cv.of[port] == c })
 }
+
+// inboxKinds returns the set of message kinds in inbox as a bitmask over
+// kindBit.
+func inboxKinds(inbox []congest.Envelope) uint64 {
+	var set uint64
+	for i := range inbox {
+		set |= kindBit(inbox[i].Msg.Kind)
+	}
+	return set
+}
+
+// kindBit is k's bit in an inboxKinds set. Every defined kind is below 64;
+// a larger (corrupted) kind maps to no bit, and no machine handles it.
+func kindBit(k wire.Kind) uint64 { return 1 << k }

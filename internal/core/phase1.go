@@ -70,7 +70,10 @@ type phase1 struct {
 	leader    bool
 
 	globalBFS *proto.BFSState
-	barrier   *proto.Barrier
+	// barrier runs over the global tree once it is final (barrierOn); the
+	// value survives reset so its storage is reused across runs.
+	barrier   proto.Barrier
+	barrierOn bool
 	scopeBFS  *proto.BFSState
 	counter   *proto.Counter
 
@@ -104,10 +107,10 @@ func (p *phase1) scopeBFSStart() int64 { return p.cfg.B + 2 }
 func (p *phase1) countStart() int64    { return 2*p.cfg.B + 3 }
 func (p *phase1) draStart() int64      { return 4*p.cfg.B + 8 }
 
-// reset readies the phase for a new run, keeping the colour and scope
-// storage of the previous one.
+// reset readies the phase for a new run, keeping the colour, scope and
+// barrier storage of the previous one.
 func (p *phase1) reset(cfg phase1Config) {
-	*p = phase1{cfg: cfg, nbColor: p.nbColor, scope: p.scope}
+	*p = phase1{cfg: cfg, nbColor: p.nbColor, scope: p.scope, barrier: p.barrier}
 }
 
 func (p *phase1) init(ctx *congest.Context) {
@@ -123,9 +126,15 @@ func (p *phase1) init(ctx *congest.Context) {
 // tick advances Phase 1 by one round; returns true once complete.
 func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	round := ctx.Round()
+	// The colour, global-tree and barrier machines see every round's inbox
+	// but act only on their own kinds, so they are skipped when none of
+	// those kinds arrived: most rounds carry DRA traffic alone.
+	kinds := inboxKinds(inbox)
 
 	// Color records arrive in round 1 and drive everything scoped.
-	p.nbColor.record(ctx.Neighbors(), inbox)
+	if kinds&kindBit(wire.KindColor) != 0 {
+		p.nbColor.record(ctx.Neighbors(), inbox)
+	}
 	if round == p.electStart() {
 		// All colors are in (announced at Init, delivered round 1): build
 		// the partition scope every scoped flood multicasts over.
@@ -134,12 +143,15 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 
 	// Global tree building and barrier traffic flow on their own kinds and
 	// can be absorbed every round.
-	p.globalBFS.Absorb(ctx, inbox)
-	if p.barrier == nil && round >= p.cfg.B {
-		// Tree final: barrier machinery becomes available.
-		p.barrier = proto.NewBarrier(p.globalBFS, p.cfg.B+2)
+	if kinds&(kindBit(wire.KindBFSExplore)|kindBit(wire.KindBFSAck)) != 0 {
+		p.globalBFS.Absorb(ctx, inbox)
 	}
-	if p.barrier != nil {
+	if !p.barrierOn && round >= p.cfg.B {
+		// Tree final: barrier machinery becomes available.
+		p.barrier.Reset(p.globalBFS, p.cfg.B+2)
+		p.barrierOn = true
+	}
+	if p.barrierOn && kinds&(kindBit(wire.KindBarrierUp)|kindBit(wire.KindBarrierGo)) != 0 {
 		p.barrier.Absorb(ctx, inbox)
 	}
 
@@ -299,7 +311,7 @@ func (p *phase1) memoryWords() int64 {
 	if p.globalBFS != nil {
 		words += int64(len(p.globalBFS.Children))
 	}
-	if p.barrier != nil {
+	if p.barrierOn {
 		words += p.barrier.MemoryWords()
 	}
 	if p.dra != nil {

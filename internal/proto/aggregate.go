@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+
 	"dhc/internal/congest"
 	"dhc/internal/wire"
 )
@@ -74,69 +76,129 @@ func (c *Counter) announceDown(ctx *congest.Context) {
 // Done reports whether this node knows the total.
 func (c *Counter) Done() bool { return c.Total >= 0 }
 
+// MaxBarrierSeq bounds barrier sequence numbers: a Barrier serves seqs
+// 0 .. MaxBarrierSeq-1, and a wire message naming any other seq is ignored
+// without growing any state. The algorithms use a handful of barriers per
+// run.
+const MaxBarrierSeq = 64
+
 // Barrier synchronizes global phase transitions over a network-wide BFS
 // tree: every node Arrives at numbered barriers in order; a node reports
 // "subtree at barrier s" to its parent once it has arrived and all children
 // reported; the root then releases the barrier down the tree. One barrier
 // costs O(tree depth) rounds — within the paper's round budgets, which are
 // all Ω(diameter).
+//
+// A Barrier is reusable: Reset rebinds it to a new tree and keeps its
+// per-seq storage, so a rerun allocates nothing.
 type Barrier struct {
-	tree         *BFSState
-	childReports map[int32]int
-	arrived      map[int32]bool
-	sentUp       map[int32]bool
-	released     map[int32]bool
-	startRound   map[int32]int64
+	tree *BFSState
+	// seqs[s] is the state of barrier s, grown on demand up to the highest
+	// seq seen.
+	seqs []barrierSeq
+	// entries counts the (seq, fact) pairs recorded — a child report seen,
+	// arrived, reported up, released — which is the barrier's retained
+	// state for memory metering.
+	entries int64
 	// ReleaseDelay is added by the root to the release round to produce a
 	// common StartRound at which all nodes may begin the next phase; it
 	// must be at least the tree depth so the Go flood arrives in time.
 	ReleaseDelay int64
 }
 
+// barrierSeq is one barrier's state at this node.
+type barrierSeq struct {
+	startRound   int64
+	childReports int32
+	arrived      bool
+	sentUp       bool
+	released     bool
+}
+
 // NewBarrier creates barrier state over a final BFS tree. releaseDelay must
 // upper-bound the tree depth.
 func NewBarrier(tree *BFSState, releaseDelay int64) *Barrier {
-	return &Barrier{
-		tree:         tree,
-		childReports: make(map[int32]int),
-		arrived:      make(map[int32]bool),
-		sentUp:       make(map[int32]bool),
-		released:     make(map[int32]bool),
-		startRound:   make(map[int32]int64),
-		ReleaseDelay: releaseDelay,
-	}
+	b := &Barrier{}
+	b.Reset(tree, releaseDelay)
+	return b
 }
 
-// Arrive marks this node's arrival at barrier seq (idempotent).
+// Reset readies the barrier for a new run over tree, forgetting every seq
+// while keeping the storage.
+func (b *Barrier) Reset(tree *BFSState, releaseDelay int64) {
+	b.tree = tree
+	b.seqs = b.seqs[:0]
+	b.entries = 0
+	b.ReleaseDelay = releaseDelay
+}
+
+// at returns barrier seq's state, growing the table to hold it, or nil when
+// seq is outside [0, MaxBarrierSeq).
+func (b *Barrier) at(seq int32) *barrierSeq {
+	if seq < 0 || seq >= MaxBarrierSeq {
+		return nil
+	}
+	for int(seq) >= len(b.seqs) {
+		b.seqs = append(b.seqs, barrierSeq{})
+	}
+	return &b.seqs[seq]
+}
+
+// peek returns barrier seq's state, or nil if it has none yet.
+func (b *Barrier) peek(seq int32) *barrierSeq {
+	if seq < 0 || int(seq) >= len(b.seqs) {
+		return nil
+	}
+	return &b.seqs[seq]
+}
+
+// Arrive marks this node's arrival at barrier seq (idempotent). seq must be
+// in [0, MaxBarrierSeq).
 func (b *Barrier) Arrive(ctx *congest.Context, seq int32) {
-	if b.arrived[seq] {
+	s := b.at(seq)
+	if s == nil {
+		panic(fmt.Sprintf("proto: barrier seq %d outside [0,%d)", seq, MaxBarrierSeq))
+	}
+	if s.arrived {
 		return
 	}
-	b.arrived[seq] = true
-	b.maybeSendUp(ctx, seq)
+	s.arrived = true
+	b.entries++
+	b.maybeSendUp(ctx, seq, s)
 }
 
-// Absorb processes barrier traffic for one round.
+// Absorb processes barrier traffic for one round. A message whose seq is
+// outside [0, MaxBarrierSeq) is ignored.
 func (b *Barrier) Absorb(ctx *congest.Context, inbox []congest.Envelope) {
-	for _, env := range inbox {
-		seq := env.Msg.Arg(0)
-		switch env.Msg.Kind {
+	for i := range inbox {
+		m := &inbox[i].Msg
+		switch m.Kind {
 		case wire.KindBarrierUp:
-			b.childReports[seq]++
-			b.maybeSendUp(ctx, seq)
+			seq := m.Arg(0)
+			if s := b.at(seq); s != nil {
+				if s.childReports == 0 {
+					b.entries++
+				}
+				s.childReports++
+				b.maybeSendUp(ctx, seq, s)
+			}
 		case wire.KindBarrierGo:
-			b.release(ctx, seq, int64(env.Msg.Arg(1)))
+			seq := m.Arg(0)
+			if s := b.at(seq); s != nil {
+				b.release(ctx, seq, s, int64(m.Arg(1)))
+			}
 		}
 	}
 }
 
-func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32) {
-	if b.sentUp[seq] || !b.arrived[seq] || b.childReports[seq] != len(b.tree.Children) {
+func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32, s *barrierSeq) {
+	if s.sentUp || !s.arrived || int(s.childReports) != len(b.tree.Children) {
 		return
 	}
-	b.sentUp[seq] = true
+	s.sentUp = true
+	b.entries++
 	if b.tree.IsRoot(ctx.ID()) {
-		b.release(ctx, seq, ctx.Round()+b.ReleaseDelay)
+		b.release(ctx, seq, s, ctx.Round()+b.ReleaseDelay)
 	} else if b.tree.Adopted() {
 		ctx.Send(b.tree.Parent, wire.Msg(wire.KindBarrierUp, seq))
 	}
@@ -146,26 +208,34 @@ func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32) {
 	// cannot agree on anything, and one the model allows us to observe.
 }
 
-func (b *Barrier) release(ctx *congest.Context, seq int32, startRound int64) {
-	if b.released[seq] {
+func (b *Barrier) release(ctx *congest.Context, seq int32, s *barrierSeq, startRound int64) {
+	if s.released {
 		return
 	}
-	b.released[seq] = true
-	b.startRound[seq] = startRound
+	s.released = true
+	b.entries++
+	s.startRound = startRound
 	for _, child := range b.tree.Children {
 		ctx.Send(child, wire.Msg(wire.KindBarrierGo, seq, int32(startRound)))
 	}
 }
 
 // Released reports whether barrier seq has been released at this node.
-func (b *Barrier) Released(seq int32) bool { return b.released[seq] }
+func (b *Barrier) Released(seq int32) bool {
+	s := b.peek(seq)
+	return s != nil && s.released
+}
 
 // StartRound returns the common round at which the phase following barrier
 // seq begins (valid once Released(seq) is true). Every node receives the same
 // value, giving the network a synchronized phase boundary.
-func (b *Barrier) StartRound(seq int32) int64 { return b.startRound[seq] }
-
-// MemoryWords estimates retained state for metering.
-func (b *Barrier) MemoryWords() int64 {
-	return int64(len(b.childReports) + len(b.arrived) + len(b.sentUp) + len(b.released))
+func (b *Barrier) StartRound(seq int32) int64 {
+	if s := b.peek(seq); s != nil {
+		return s.startRound
+	}
+	return 0
 }
+
+// MemoryWords estimates retained state for metering: one word per recorded
+// fact (child reports seen, arrived, reported up, released) per seq.
+func (b *Barrier) MemoryWords() int64 { return b.entries }
